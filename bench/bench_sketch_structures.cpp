@@ -144,10 +144,10 @@ double time_ns_per_op(F&& fn, int iters) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
-/// Scalar-vs-AVX2 ns/cell for the three kernel primitives the round
-/// pipeline leans on: merge (cell-wise wrapping add — finalize and the
-/// cluster reduce), min-scan gather (query over the id space), and the
-/// pad fold (unblinding). Timed on the paper geometry, 17 x 2719 cells.
+/// Scalar-vs-AVX2 ns/cell for the two kernel primitives the round
+/// pipeline leans on: merge (cell-wise wrapping add — finalize, the
+/// cluster reduce and the blinding pad fold) and min-scan gather (query
+/// over the id space). Timed on the paper geometry, 17 x 2719 cells.
 void add_kernel_rows(bench::JsonWriter& writer) {
   constexpr std::size_t kCells = 17 * 2719;
   constexpr std::size_t kWidth = 2719;
@@ -157,8 +157,6 @@ void add_kernel_rows(bench::JsonWriter& writer) {
   for (std::uint32_t& c : src) c = static_cast<std::uint32_t>(rng.next());
   for (std::uint32_t& c : dst) c = static_cast<std::uint32_t>(rng.next());
   for (std::uint32_t& c : row) c = static_cast<std::uint32_t>(rng.next());
-  std::vector<std::uint8_t> stream(kCells * 4);
-  for (std::uint8_t& b : stream) b = static_cast<std::uint8_t>(rng.next());
   std::vector<std::uint32_t> idx(kKeys), out(kKeys, 0xffffffffu);
   for (std::uint32_t& i : idx)
     i = static_cast<std::uint32_t>(rng.next() % kWidth);
@@ -172,17 +170,6 @@ void add_kernel_rows(bench::JsonWriter& writer) {
                 .ns_per_op = time_ns_per_op(
                                  [&] { k->add_cells(dst.data(), src.data(),
                                                     kCells); },
-                                 400) /
-                             kCells,
-                .backend = k->name,
-                .cores = 1});
-    writer.add({.op = "sketch_pad_accumulate",
-                .modulus_bits = 0,
-                .ns_per_op = time_ns_per_op(
-                                 [&] {
-                                   k->pad_accumulate(dst.data(), stream.data(),
-                                                     kCells, true);
-                                 },
                                  400) /
                              kCells,
                 .backend = k->name,

@@ -31,72 +31,57 @@ BlindingParticipant::BlindingParticipant(
   });
 }
 
-std::vector<BlindCell> BlindingParticipant::pad(std::size_t peer,
-                                                std::size_t cells,
-                                                std::uint64_t round) const {
-  // One pseudo-random pad per (pair, round), expanded in counter mode:
-  // 8 cells per SHA-256 call instead of one hash per cell. Both endpoints
-  // of a pair derive the identical pad from the shared key.
-  Sha256 seed;
-  seed.update(std::span<const std::uint8_t>(pair_keys_[peer].data(),
-                                            pair_keys_[peer].size()));
-  seed.update_u64(round);
-  const Digest d = seed.finish();
-  const auto stream = sha256_expand(
-      std::span<const std::uint8_t>(d.data(), d.size()),
-      cells * sizeof(BlindCell));
-  std::vector<BlindCell> out(cells);
-  for (std::size_t m = 0; m < cells; ++m) {
-    BlindCell v = 0;
-    for (std::size_t b = 0; b < sizeof(BlindCell); ++b)
-      v = static_cast<BlindCell>((v << 8) | stream[m * sizeof(BlindCell) + b]);
-    out[m] = v;
+void BlindingParticipant::fold_pads(std::span<const std::size_t> peers,
+                                    std::size_t cells, std::uint64_t round,
+                                    BlindCell* acc) const {
+  // Each pad cell is one native-order state word of the counter-mode
+  // stream, so the kernel's words fold straight into the accumulator —
+  // a stack slice at a time, no per-peer pad or byte stream.
+  constexpr std::size_t kSliceCells = 1024;
+  BlindCell words[kSliceCells];
+  const sketch::SketchKernel& kernel = sketch::active_sketch_kernel();
+  for (const std::size_t j : peers) {
+    Sha256 h;
+    h.update(std::span<const std::uint8_t>(pair_keys_[j].data(),
+                                           pair_keys_[j].size()));
+    h.update_u64(round);
+    const Digest seed = h.finish();
+    const auto fold = index_ > j ? kernel.add_cells : kernel.sub_cells;
+    for (std::size_t off = 0; off < cells; off += kSliceCells) {
+      const std::size_t n = std::min(kSliceCells, cells - off);
+      sha256_expand_words(seed, off / 8, std::span<BlindCell>(words, n));
+      fold(acc + off, words, n);
+    }
   }
-  return out;
-}
-
-BlindCell BlindingParticipant::factor(std::size_t peer, std::uint64_t cell,
-                                      std::uint64_t round) const {
-  // Single-cell view of the pad (kept for tests/diagnostics; bulk callers
-  // use pad() directly).
-  return pad(peer, static_cast<std::size_t>(cell) + 1, round)[cell];
 }
 
 std::vector<BlindCell> BlindingParticipant::accumulate_pads(
     std::span<const std::size_t> peers, std::size_t cells,
     std::uint64_t round) const {
-  // Pad expansion dominates (one SHA-256 stream per peer); split the peer
-  // list into contiguous chunks, each with a private accumulator, then
-  // fold the chunk accumulators in order. Wrapping 32-bit adds make the
-  // result bit-identical to the serial loop for any chunking.
+  // Pad expansion dominates (one SHA-256 stream per peer). A one-thread
+  // pool folds every pad into the result directly; otherwise the peer
+  // list splits into contiguous chunks, each with a private accumulator,
+  // folded in order. Wrapping 32-bit adds make the result bit-identical
+  // to the serial loop for any chunking.
   std::vector<BlindCell> out(cells, 0);
   if (peers.empty()) return out;
+  if (pool_->size() == 1) {
+    fold_pads(peers, cells, round, out.data());
+    return out;
+  }
   const std::size_t chunks = std::min(peers.size(), pool_->size() * 4);
   const std::size_t per_chunk = (peers.size() + chunks - 1) / chunks;
-  const sketch::SketchKernel& kernel = sketch::active_sketch_kernel();
   std::vector<std::vector<BlindCell>> partial(chunks);
   pool_->parallel_for(chunks, [&](std::size_t c) {
-    auto& acc = partial[c];
-    acc.assign(cells, 0);
-    // One expansion scratch per chunk, reused across its peers: the
-    // kernel folds the big-endian pad stream straight into the
-    // accumulator, so the per-peer pad never materializes as cells.
-    std::vector<std::uint8_t> stream(cells * sizeof(BlindCell));
-    const std::size_t begin = c * per_chunk;
+    const std::size_t begin = std::min(peers.size(), c * per_chunk);
     const std::size_t end = std::min(peers.size(), begin + per_chunk);
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t j = peers[k];
-      Sha256 seed;
-      seed.update(std::span<const std::uint8_t>(pair_keys_[j].data(),
-                                                pair_keys_[j].size()));
-      seed.update_u64(round);
-      const Digest d = seed.finish();
-      sha256_expand_into(std::span<const std::uint8_t>(d.data(), d.size()),
-                         stream);
-      kernel.pad_accumulate(acc.data(), stream.data(), cells, index_ > j);
-    }
+    partial[c].assign(cells, 0);
+    fold_pads(peers.subspan(begin, end - begin), cells, round,
+              partial[c].data());
   });
-  for (const auto& acc : partial) kernel.add_cells(out.data(), acc.data(), cells);
+  const sketch::SketchKernel& kernel = sketch::active_sketch_kernel();
+  for (const auto& acc : partial)
+    kernel.add_cells(out.data(), acc.data(), cells);
   return out;
 }
 

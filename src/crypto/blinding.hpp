@@ -2,12 +2,26 @@
 // blind count-min-sketch cells before reporting them (Section 6).
 //
 // Participant i derives, for every peer j, a symmetric key from the DH
-// shared secret y_j^{x_i}. The blinding factor for cell m at round s is
-//   b_i[m] = sum_{j != i} H(k_ij || m || s) * (-1)^{i > j}
+// shared secret: k_ij = SHA-256(big-endian bytes of y_j^{x_i} mod p)
+// (dh_secret_to_key), so k_ij == k_ji. The pair's pad for round s is a
+// SHA-256 counter-mode stream:
+//   seed_ij = SHA-256(k_ij || s)            s as 8 bytes, big-endian
+//   block_c = SHA-256(seed_ij || c)         c as 8 bytes, big-endian
+//   P_ij[m] = big-endian u32 at bytes [4(m mod 8), 4(m mod 8) + 4) of
+//             block_{m / 8}
+// i.e. cell m is big-endian word m of sha256_expand(seed_ij, ...). The
+// blinding factor is
+//   b_i[m] = sum_{j != i} (i > j ? +P_ij[m] : -P_ij[m])
 // in wrapping 32-bit arithmetic (cells are 4 bytes, matching the paper).
-// Each pair (i, j) contributes +t to one participant and -t to the other,
+// Each pair (i, j) contributes +P to one participant and -P to the other,
 // so sum_i b_i[m] == 0: cell-wise aggregation of all blinded reports yields
 // the true aggregate.
+//
+// This byte layout is a cross-version interop invariant: both partners of
+// a pair must derive the same pad whichever build (and SHA-256 backend)
+// each runs, so it must not change without a protocol version bump.
+// tests/crypto/test_blinding.cpp pins it against a reference written from
+// this formula.
 //
 // Fault tolerance (Section 6, "Fault-tolerance"): if some clients never
 // report, the server announces the missing set and each reporting client
@@ -67,11 +81,9 @@ class BlindingParticipant {
   [[nodiscard]] std::vector<BlindCell> accumulate_pads(
       std::span<const std::size_t> peers, std::size_t cells,
       std::uint64_t round) const;
-  /// Full pseudo-random pad shared with `peer` for this round.
-  [[nodiscard]] std::vector<BlindCell> pad(std::size_t peer, std::size_t cells,
-                                           std::uint64_t round) const;
-  [[nodiscard]] BlindCell factor(std::size_t peer, std::uint64_t cell,
-                                 std::uint64_t round) const;
+  /// acc[m] += (index_ > j ? +1 : -1) * P_j[m] for every j in `peers`.
+  void fold_pads(std::span<const std::size_t> peers, std::size_t cells,
+                 std::uint64_t round, BlindCell* acc) const;
 
   std::size_t index_;
   std::vector<Digest> pair_keys_;  // pair_keys_[j]; entry [index_] unused

@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/sha256_kernel.hpp"
@@ -8,15 +9,31 @@ namespace eyw::crypto {
 
 namespace {
 
-// FIPS 180-4 initial hash value; counter-mode expansion restarts from it
-// for every output block.
-constexpr std::array<std::uint32_t, 8> kIv = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+/// Longest seed whose counter-mode block (seed || counter || 0x80 ||
+/// 64-bit length) fits one 64-byte message block.
+constexpr std::size_t kMaxCounterSeed = 64 - 8 - 1 - 8;
+
+/// The padded one-block message seed || counter || 0x80 || 0... ||
+/// bit length, exactly what update()+finish() would build; the counter
+/// bytes at `ctr_off` are the kernel's to fill.
+struct CounterBlock {
+  std::uint8_t bytes[64] = {0};
+  std::size_t ctr_off = 0;
+
+  explicit CounterBlock(std::span<const std::uint8_t> seed) noexcept
+      : ctr_off(seed.size()) {
+    std::memcpy(bytes, seed.data(), seed.size());
+    bytes[ctr_off + 8] = 0x80;
+    const std::uint64_t bit_len =
+        (static_cast<std::uint64_t>(seed.size()) + 8) * 8;
+    for (int i = 0; i < 8; ++i)
+      bytes[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+};
 
 }  // namespace
 
-Sha256::Sha256() noexcept : h_(kIv) {}
+Sha256::Sha256() noexcept : h_(std::to_array(kSha256Iv)) {}
 
 void Sha256::process_block(const std::uint8_t* block) noexcept {
   active_sha256_kernel().compress(h_.data(), block, 1);
@@ -140,32 +157,37 @@ std::vector<std::uint8_t> sha256_expand(std::span<const std::uint8_t> seed,
 
 void sha256_expand_into(std::span<const std::uint8_t> seed,
                         std::span<std::uint8_t> out) noexcept {
-  // Hot path (the blinding pad expansion): seed || counter || padding
-  // fits a single message block, so prepare the padded block once and
-  // per output block only rewrite the 8 counter bytes and run one raw
-  // compression from the IV — no Sha256 object, no byte-at-a-time
-  // padding loop. Produces exactly the incremental-API bytes: the
-  // padding layout below is what update()+finish() would build.
-  if (seed.size() + 8 <= 55) {
+  // Hot path: seed || counter || padding fits a single message block, so
+  // each output block is one raw compression of the prepared block from
+  // the IV — no Sha256 object, no byte-at-a-time padding. Streams of a
+  // wide-kernel batch or more go through the counter-mode entry a stack
+  // slice at a time; shorter ones (an OPRF hash-to-group is 5 blocks)
+  // run the one-block loop, which a batch's word round trip would slow.
+  if (seed.size() <= kMaxCounterSeed) {
+    CounterBlock blk(seed);
     const Sha256Kernel& kernel = active_sha256_kernel();
-    const std::size_t ctr_off = seed.size();
-    std::uint8_t block[64] = {0};
-    std::memcpy(block, seed.data(), seed.size());
-    block[ctr_off + 8] = 0x80;
-    const std::uint64_t bit_len =
-        (static_cast<std::uint64_t>(seed.size()) + 8) * 8;
-    for (int i = 0; i < 8; ++i)
-      block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    std::uint64_t counter = 0;
-    std::size_t off = 0;
-    while (off < out.size()) {
+    if (out.size() >= 32 * kSha256CounterLanes) {
+      constexpr std::size_t kSliceBlocks = 2 * kSha256CounterLanes;
+      std::uint32_t words[8 * kSliceBlocks];
+      for (std::size_t off = 0, block = 0; off < out.size();
+           off += sizeof(words), block += kSliceBlocks) {
+        const std::size_t bytes = std::min(sizeof(words), out.size() - off);
+        kernel.counter_words(blk.bytes, blk.ctr_off, block, words,
+                             (bytes + 3) / 4);
+        for (std::size_t k = 0; k < bytes; ++k)
+          out[off + k] = static_cast<std::uint8_t>(words[k / 4] >>
+                                                   (24 - 8 * (k % 4)));
+      }
+      return;
+    }
+    for (std::size_t off = 0, counter = 0; off < out.size();
+         off += 32, ++counter) {
       for (int i = 0; i < 8; ++i)
-        block[ctr_off + static_cast<std::size_t>(i)] =
+        blk.bytes[blk.ctr_off + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(counter >> (56 - 8 * i));
-      ++counter;
-      std::uint32_t st[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-      kernel.compress(st, block, 1);
+      std::uint32_t st[8];
+      std::memcpy(st, kSha256Iv, sizeof(st));
+      kernel.compress(st, blk.bytes, 1);
       std::uint8_t digest[32];
       for (int i = 0; i < 8; ++i) {
         digest[4 * i] = static_cast<std::uint8_t>(st[i] >> 24);
@@ -173,9 +195,8 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
         digest[4 * i + 2] = static_cast<std::uint8_t>(st[i] >> 8);
         digest[4 * i + 3] = static_cast<std::uint8_t>(st[i]);
       }
-      const std::size_t take = std::min<std::size_t>(32, out.size() - off);
-      std::memcpy(out.data() + off, digest, take);
-      off += take;
+      std::memcpy(out.data() + off, digest,
+                  std::min<std::size_t>(32, out.size() - off));
     }
     return;
   }
@@ -190,6 +211,13 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
     std::memcpy(out.data() + off, d.data(), take);
     off += take;
   }
+}
+
+void sha256_expand_words(const Digest& seed, std::uint64_t first_block,
+                         std::span<std::uint32_t> out) noexcept {
+  const CounterBlock blk(seed);
+  active_sha256_kernel().counter_words(blk.bytes, blk.ctr_off, first_block,
+                                       out.data(), out.size());
 }
 
 }  // namespace eyw::crypto

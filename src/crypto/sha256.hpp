@@ -55,10 +55,17 @@ class Sha256 {
 [[nodiscard]] std::vector<std::uint8_t> sha256_expand(
     std::span<const std::uint8_t> seed, std::size_t len);
 
-/// sha256_expand writing into caller-owned storage — the allocation-free
-/// form the blinding hot loop reuses one scratch buffer through. Fills
-/// out.size() bytes.
+/// sha256_expand writing into caller-owned storage (allocation-free).
+/// Fills out.size() bytes.
 void sha256_expand_into(std::span<const std::uint8_t> seed,
                         std::span<std::uint8_t> out) noexcept;
+
+/// The same stream, for a digest seed, as native-order 32-bit words:
+/// out[k] is big-endian word 8 * first_block + k of sha256_expand(seed,
+/// ...), i.e. state word k mod 8 of SHA256(seed || first_block + k / 8).
+/// This is the blinding pads' form (one pad cell per word), with no byte
+/// round trip.
+void sha256_expand_words(const Digest& seed, std::uint64_t first_block,
+                         std::span<std::uint32_t> out) noexcept;
 
 }  // namespace eyw::crypto

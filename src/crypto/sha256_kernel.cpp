@@ -1,7 +1,9 @@
 #include "crypto/sha256_kernel.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
@@ -13,24 +15,18 @@ namespace eyw::crypto {
 namespace detail {
 #if defined(EYW_HAVE_SHANI_KERNEL)
 // Defined in sha256_shani.cpp (compiled with -msha -msse4.1).
-const Sha256Kernel& shani_kernel_impl() noexcept;
+void shani_compress(std::uint32_t state[8], const std::uint8_t* blocks,
+                    std::size_t count);
+#endif
+#if defined(EYW_HAVE_AVX512_SHA256)
+// Defined in sha256_avx512.cpp (compiled with -mavx512f -mavx512vl).
+void avx512_counter_words(const std::uint8_t block[64], std::size_t ctr_off,
+                          std::uint64_t first, std::uint32_t* out,
+                          std::size_t words);
 #endif
 }  // namespace detail
 
 namespace {
-
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
@@ -60,7 +56,7 @@ void portable_compress(std::uint32_t state[8], const std::uint8_t* blocks,
       const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
       const std::uint32_t ch = (e & f) ^ (~e & g);
       const std::uint32_t t1 =
-          h + s1 + ch + kK[static_cast<std::size_t>(i)] + w[i];
+          h + s1 + ch + kSha256K[static_cast<std::size_t>(i)] + w[i];
       const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
       const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
       const std::uint32_t t2 = s0 + maj;
@@ -84,18 +80,102 @@ void portable_compress(std::uint32_t state[8], const std::uint8_t* blocks,
   }
 }
 
-constexpr Sha256Kernel kPortable{portable_compress, "portable"};
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*,
+                           std::size_t);
+
+// The counter-mode oracle: one single-block compression per counter, the
+// state words copied out as they are.
+void counter_words_via(CompressFn compress, const std::uint8_t block[64],
+                       std::size_t ctr_off, std::uint64_t first,
+                       std::uint32_t* out, std::size_t words) {
+  std::uint8_t blk[64];
+  std::memcpy(blk, block, sizeof(blk));
+  for (std::uint64_t ctr = first; words > 0; ++ctr) {
+    for (int i = 0; i < 8; ++i)
+      blk[ctr_off + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(ctr >> (56 - 8 * i));
+    std::uint32_t st[8];
+    std::memcpy(st, kSha256Iv, sizeof(st));
+    compress(st, blk, 1);
+    const std::size_t take = std::min<std::size_t>(8, words);
+    std::memcpy(out, st, take * sizeof(std::uint32_t));
+    out += take;
+    words -= take;
+  }
+}
+
+void portable_counter_words(const std::uint8_t block[64], std::size_t ctr_off,
+                            std::uint64_t first, std::uint32_t* out,
+                            std::size_t words) {
+  counter_words_via(portable_compress, block, ctr_off, first, out, words);
+}
+
+constexpr Sha256Kernel kPortable{portable_compress, portable_counter_words,
+                                 "portable"};
+
+#if defined(EYW_HAVE_SHANI_KERNEL)
+void shani_counter_words(const std::uint8_t block[64], std::size_t ctr_off,
+                         std::uint64_t first, std::uint32_t* out,
+                         std::size_t words) {
+  counter_words_via(detail::shani_compress, block, ctr_off, first, out, words);
+}
+
+constexpr Sha256Kernel kShani{detail::shani_compress, shani_counter_words,
+                              "shani"};
+#endif
+
+#if defined(EYW_HAVE_AVX512_SHA256)
+/// AVX-512F + AVX-512VL in CPUID and opmask/ZMM state enabled in XCR0.
+bool cpu_supports_avx512() noexcept {
+  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  constexpr unsigned int kOsxsave = 1u << 27;  // ECX bit 27
+  if ((ecx & kOsxsave) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  constexpr unsigned int kAvx512FVl = (1u << 16) | (1u << 31);  // EBX F, VL
+  if ((ebx & kAvx512FVl) != kAvx512FVl) return false;
+  // CPUID only says the core has the units; XCR0 says the OS saves and
+  // restores their state across context switches: SSE, AVX, opmask,
+  // ZMM_Hi256 and Hi16_ZMM (bits 1, 2, 5, 6, 7).
+  unsigned int xcr0_lo = 0, xcr0_hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+  constexpr unsigned int kZmmState = 0xE6;
+  return (xcr0_lo & kZmmState) == kZmmState;
+}
+
+/// The best one-block compression beside the wide kernel.
+CompressFn narrow_compress() noexcept {
+  static const CompressFn compress = shani_sha256_kernel() != nullptr
+                                         ? shani_sha256_kernel()->compress
+                                         : portable_compress;
+  return compress;
+}
+
+void avx512_counter_words(const std::uint8_t block[64], std::size_t ctr_off,
+                          std::uint64_t first, std::uint32_t* out,
+                          std::size_t words) {
+  // Below one batch the wide kernel would hash idle lanes.
+  if (words < 8 * kSha256CounterLanes) {
+    counter_words_via(narrow_compress(), block, ctr_off, first, out, words);
+    return;
+  }
+  detail::avx512_counter_words(block, ctr_off, first, out, words);
+}
+#endif
 
 const Sha256Kernel* resolve_active() noexcept {
-  const char* pref = std::getenv("EYW_SHA256_KERNEL");
-  const bool force_portable =
-      pref != nullptr && std::strcmp(pref, "portable") == 0;
-  if (!force_portable) {
-    if (const Sha256Kernel* shani = shani_sha256_kernel()) return shani;
-  }
-  // "shani" requested but unavailable degrades to portable — the override
-  // is a test knob, not a correctness switch, and portable is always
-  // right.
+  const char* env = std::getenv("EYW_SHA256_KERNEL");
+  const std::string_view pref = env != nullptr ? env : "auto";
+  if (pref == "portable") return &kPortable;
+  const Sha256Kernel* avx512 = avx512_sha256_kernel();
+  const Sha256Kernel* shani = shani_sha256_kernel();
+  // A named backend the build or CPU lacks degrades to portable — the
+  // override is a test knob, not a correctness switch, and portable is
+  // always right.
+  if (pref == "shani") return shani != nullptr ? shani : &kPortable;
+  if (pref == "avx512") return avx512 != nullptr ? avx512 : &kPortable;
+  if (avx512 != nullptr) return avx512;
+  if (shani != nullptr) return shani;
   return &kPortable;
 }
 
@@ -117,7 +197,18 @@ bool cpu_supports_sha_ni() noexcept {
 const Sha256Kernel* shani_sha256_kernel() noexcept {
 #if defined(EYW_HAVE_SHANI_KERNEL)
   static const bool usable = cpu_supports_sha_ni();
-  return usable ? &detail::shani_kernel_impl() : nullptr;
+  return usable ? &kShani : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const Sha256Kernel* avx512_sha256_kernel() noexcept {
+#if defined(EYW_HAVE_AVX512_SHA256)
+  static const Sha256Kernel kernel{narrow_compress(), avx512_counter_words,
+                                   "avx512"};
+  static const bool usable = cpu_supports_avx512();
+  return usable ? &kernel : nullptr;
 #else
   return nullptr;
 #endif

@@ -16,21 +16,7 @@
 
 #include <immintrin.h>
 
-namespace eyw::crypto {
-namespace {
-
-alignas(16) constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+namespace eyw::crypto::detail {
 
 void shani_compress(std::uint32_t state[8], const std::uint8_t* blocks,
                     std::size_t count) {
@@ -69,7 +55,7 @@ void shani_compress(std::uint32_t state[8], const std::uint8_t* blocks,
     for (int i = 0; i < 16; ++i) {
       __m128i m = _mm_add_epi32(
           msg[i & 3],
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * i])));
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * i])));
       state1 = _mm_sha256rnds2_epu32(state1, state0, m);
       m = _mm_shuffle_epi32(m, 0x0E);
       state0 = _mm_sha256rnds2_epu32(state0, state1, m);
@@ -98,14 +84,6 @@ void shani_compress(std::uint32_t state[8], const std::uint8_t* blocks,
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
-constexpr Sha256Kernel kShani{shani_compress, "shani"};
-
-}  // namespace
-
-namespace detail {
-const Sha256Kernel& shani_kernel_impl() noexcept { return kShani; }
-}  // namespace detail
-
-}  // namespace eyw::crypto
+}  // namespace eyw::crypto::detail
 
 #endif  // EYW_HAVE_SHANI_KERNEL

@@ -512,17 +512,14 @@ struct ClientReactorImpl {
       ex.stream = stream;
       ChannelCore::StreamQ* q = nullptr;
       try {
-        // Retry keeps the un-wrapped version-1 bytes (the only copy on
-        // this path, and only when the caller asked for retries); the
-        // wrap itself is an in-place header patch — the encoder reserved
-        // mux headroom, so steady-state mux send allocates nothing. An
+        // The wrap is an in-place header patch — the encoder reserved mux
+        // headroom, so steady-state mux send allocates nothing. An
         // externally produced buffer without headroom still works
         // (mux_frame_with_prefix_inplace reallocates once), the copying
-        // add_stream form stays available for such callers.
-        if (retries > 0) {
-          ex.retries_left = retries;
-          ex.retry_frame = frame;
-        }
+        // add_stream form stays available for such callers. A retrying
+        // exchange gets its version-1 bytes back from this same buffer
+        // once it is written (fill_out), not from a copy made here.
+        ex.retries_left = retries;
         std::vector<std::uint8_t> framed = std::move(frame);
         mux_frame_with_prefix_inplace(framed, stream);
         q = &c.streams[stream];
@@ -573,9 +570,20 @@ struct ClientReactorImpl {
       ChannelCore::StreamQ& q = it->second;
       q.in_ring = false;
       if (q.outbox.empty()) continue;
+      // pending holds the stream's sent exchanges, then exactly one per
+      // outbox frame, in order: this frame's exchange is the first unsent.
+      PendingExchange& ex = q.pending[q.pending.size() - q.outbox.size()];
       std::vector<std::uint8_t> framed = std::move(q.outbox.front());
       q.outbox.pop_front();
       c.out.insert(c.out.end(), framed.begin(), framed.end());
+      if (ex.retries_left > 0) {
+        // Keep the written buffer, unwrapped back to the version-1 bytes,
+        // for a resubmission after a shed reply: one buffer per in-flight
+        // exchange instead of a second copy held until the ack.
+        framed.erase(framed.begin(), framed.begin() + 4);  // length prefix
+        (void)strip_stream_inplace(framed);
+        ex.retry_frame = std::move(framed);
+      }
       if (!q.outbox.empty()) {
         c.write_ring.push_back(sid);
         q.in_ring = true;

@@ -74,17 +74,37 @@ struct CellsBody {
   std::vector<std::uint32_t> cells;
 };
 
+/// An envelope header announcing a `payload_bytes` payload, in a buffer
+/// reserved for the payload plus mux headroom: the mux write path can
+/// splice in a stream id and a length prefix without reallocating
+/// (mux_frame_with_prefix_inplace); the encoded bytes are unchanged.
+WireWriter envelope_writer(MsgKind kind, std::uint32_t sender,
+                           std::uint64_t round, std::size_t payload_bytes) {
+  if (payload_bytes > kMaxPayloadBytes)
+    throw ProtoError(ErrorCode::kOversized, "encode_envelope: payload too big");
+  WireWriter w(kEnvelopeHeaderBytes + payload_bytes + kMuxHeadroomBytes);
+  w.u32(kEnvelopeMagic);
+  w.u16(kProtoVersion);
+  w.u16(static_cast<std::uint16_t>(kind));
+  w.u32(sender);
+  w.u64(round);
+  w.u32(static_cast<std::uint32_t>(payload_bytes));
+  return w;
+}
+
 std::vector<std::uint8_t> encode_cells_body(MsgKind kind,
                                             std::uint32_t participant,
                                             std::uint64_t round,
                                             const sketch::CmsParams& params,
                                             std::span<const std::uint32_t> cells) {
-  const auto frame = sketch::encode_blinded_report(params, round, cells);
-  WireWriter w(4 + frame.size());
+  // One allocation per report: envelope, participant and the sketch frame
+  // are written straight into the buffer that goes on the wire.
+  WireWriter w = envelope_writer(kind, participant, round,
+                                 4 + sketch::encoded_size(params));
   w.u32(participant);
-  w.bytes(std::span<const std::uint8_t>(frame.data(), frame.size()));
-  const auto payload = w.take();
-  return encode_envelope(kind, participant, round, payload);
+  std::vector<std::uint8_t> out = w.take();
+  sketch::append_blinded_report(out, params, round, cells);
+  return out;
 }
 
 CellsBody decode_cells_body(const EnvelopeView& env, const char* what) {
@@ -146,18 +166,7 @@ const char* to_string(MsgKind kind) noexcept {
 std::vector<std::uint8_t> encode_envelope(
     MsgKind kind, std::uint32_t sender, std::uint64_t round,
     std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxPayloadBytes)
-    throw ProtoError(ErrorCode::kOversized, "encode_envelope: payload too big");
-  // The extra capacity lets the mux write path splice in a stream id and a
-  // length prefix without reallocating (mux_frame_with_prefix_inplace);
-  // the encoded bytes themselves are unchanged.
-  WireWriter w(kEnvelopeHeaderBytes + payload.size() + kMuxHeadroomBytes);
-  w.u32(kEnvelopeMagic);
-  w.u16(kProtoVersion);
-  w.u16(static_cast<std::uint16_t>(kind));
-  w.u32(sender);
-  w.u64(round);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
+  WireWriter w = envelope_writer(kind, sender, round, payload.size());
   w.bytes(payload);
   return w.take();
 }

@@ -5,6 +5,7 @@
 
 #include "proto/message.hpp"
 #include "sketch/serialize.hpp"
+#include "sketch/sketch_kernel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace eyw::server {
@@ -28,12 +29,26 @@ void BackendServer::begin_round(std::uint64_t round, std::size_t roster_size) {
   round_ = round;
   open_ = true;
   roster_size_ = roster_size;
-  reports_.clear();
-  adjustments_.clear();
-  restored_cells_.clear();
-  restored_reporters_.clear();
-  restored_adjusters_.clear();
+  cells_.clear();
+  reporters_.clear();
+  adjusters_.clear();
   bytes_received_ = 0;
+}
+
+void BackendServer::fold(std::vector<crypto::BlindCell> cells, bool add) {
+  // Wrapping u32 addition commutes, so folding submissions as they arrive
+  // is bit-identical to summing them at finalize in any order — and the
+  // round holds one cell vector instead of one per submission.
+  if (cells_.empty()) {
+    if (add) {
+      cells_ = std::move(cells);
+      return;
+    }
+    cells_.assign(cells.size(), 0);
+  }
+  const sketch::SketchKernel& kernel = sketch::active_sketch_kernel();
+  (add ? kernel.add_cells : kernel.sub_cells)(cells_.data(), cells.data(),
+                                              cells_.size());
 }
 
 void BackendServer::submit_report(std::size_t participant_index,
@@ -42,13 +57,13 @@ void BackendServer::submit_report(std::size_t participant_index,
     throw std::invalid_argument("submit_report: index outside roster");
   if (blinded_cells.size() != config_.cms_params.cells())
     throw std::invalid_argument("submit_report: cell-count mismatch");
-  // Duplicate refusal must see snapshot-restored reporters too: after a
-  // crash-recovery, a reporter whose pre-crash submission survived in the
-  // checkpoint retrying its report is the common case, not a corner one.
-  if (restored_reporters_.contains(participant_index))
+  // Duplicate refusal sees snapshot-restored reporters too (they are in
+  // the same set): after a crash-recovery, a reporter whose pre-crash
+  // submission survived in the checkpoint retrying its report is the
+  // common case, not a corner one.
+  if (!reporters_.insert(participant_index).second)
     throw std::invalid_argument("submit_report: duplicate report");
-  if (!reports_.emplace(participant_index, std::move(blinded_cells)).second)
-    throw std::invalid_argument("submit_report: duplicate report");
+  fold(std::move(blinded_cells), /*add=*/true);
   bytes_received_ += config_.cms_params.bytes();
 }
 
@@ -66,10 +81,9 @@ void BackendServer::submit_adjustment(
         "submit_adjustment: adjustments come from reporters only");
   if (adjustment.size() != config_.cms_params.cells())
     throw std::invalid_argument("submit_adjustment: cell-count mismatch");
-  if (restored_adjusters_.contains(participant_index))
+  if (!adjusters_.insert(participant_index).second)
     throw std::invalid_argument("submit_adjustment: duplicate adjustment");
-  if (!adjustments_.emplace(participant_index, std::move(adjustment)).second)
-    throw std::invalid_argument("submit_adjustment: duplicate adjustment");
+  fold(std::move(adjustment), /*add=*/false);
   bytes_received_ += config_.cms_params.bytes();
 }
 
@@ -94,20 +108,9 @@ std::vector<double> scan_users_counts(const sketch::CountMinSketch& aggregate,
 }
 
 std::vector<crypto::BlindCell> BackendServer::partial_aggregate() const {
-  // Sum the blinded reports in place — no per-report copies. The restored
-  // base (empty outside recovery) seeds the sum: wrapping u32 addition is
-  // commutative, so "snapshot sum + live reports" is bit-identical to
-  // summing every original report in participant order.
-  const std::size_t n_cells = config_.cms_params.cells();
-  std::vector<crypto::BlindCell> aggregate_cells =
-      restored_cells_.empty() ? std::vector<crypto::BlindCell>(n_cells, 0)
-                              : restored_cells_;
-  for (const auto& [idx, cells] : reports_) {
-    for (std::size_t m = 0; m < n_cells; ++m) aggregate_cells[m] += cells[m];
-  }
-  for (const auto& [idx, adj] : adjustments_)
-    crypto::apply_adjustment(aggregate_cells, adj);
-  return aggregate_cells;
+  return cells_.empty()
+             ? std::vector<crypto::BlindCell>(config_.cms_params.cells(), 0)
+             : cells_;
 }
 
 RoundResult finalize_from_cells(const BackendConfig& config,
@@ -152,19 +155,8 @@ RoundSnapshot BackendServer::snapshot_round() const {
   snap.bytes_received = bytes_received_;
   snap.params = config_.cms_params;
   snap.base_cells = partial_aggregate();
-  snap.reporters.reserve(reports_received());
-  for (const std::size_t p : restored_reporters_)
-    snap.reporters.push_back(static_cast<std::uint32_t>(p));
-  for (const auto& [p, cells] : reports_)
-    snap.reporters.push_back(static_cast<std::uint32_t>(p));
-  snap.adjusters.reserve(adjustments_received());
-  for (const std::size_t p : restored_adjusters_)
-    snap.adjusters.push_back(static_cast<std::uint32_t>(p));
-  for (const auto& [p, cells] : adjustments_)
-    snap.adjusters.push_back(static_cast<std::uint32_t>(p));
-  // Both source containers are ordered but their ranges interleave.
-  std::sort(snap.reporters.begin(), snap.reporters.end());
-  std::sort(snap.adjusters.begin(), snap.adjusters.end());
+  snap.reporters.assign(reporters_.begin(), reporters_.end());
+  snap.adjusters.assign(adjusters_.begin(), adjusters_.end());
   return snap;
 }
 
@@ -191,10 +183,9 @@ void BackendServer::restore_round(const RoundSnapshot& snapshot) {
   }
 
   begin_round(snapshot.round, snapshot.roster);
-  restored_cells_ = snapshot.base_cells;
-  restored_reporters_ = std::move(reporters);
-  restored_adjusters_.insert(snapshot.adjusters.begin(),
-                             snapshot.adjusters.end());
+  cells_ = snapshot.base_cells;
+  reporters_ = std::move(reporters);
+  adjusters_.insert(snapshot.adjusters.begin(), snapshot.adjusters.end());
   bytes_received_ = snapshot.bytes_received;
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <span>
@@ -213,18 +212,17 @@ class BackendServer final : public RoundBackend {
 
   /// Reports received this round (live + restored).
   [[nodiscard]] std::size_t reports_received() const noexcept {
-    return reports_.size() + restored_reporters_.size();
+    return reporters_.size();
   }
   /// Whether `participant` has reported this round (O(log reports); the
   /// cluster's missing scan asks its routed shard instead of diffing
   /// full-roster missing lists).
   [[nodiscard]] bool has_report(std::size_t participant) const noexcept {
-    return reports_.contains(participant) ||
-           restored_reporters_.contains(participant);
+    return reporters_.contains(participant);
   }
   /// Adjustments received this round (live + restored).
   [[nodiscard]] std::size_t adjustments_received() const noexcept {
-    return adjustments_.size() + restored_adjusters_.size();
+    return adjusters_.size();
   }
 
   /// Estimated #Users for one ad id, from the last finalized round.
@@ -244,15 +242,17 @@ class BackendServer final : public RoundBackend {
   std::uint64_t round_ = 0;
   bool open_ = false;
   std::size_t roster_size_ = 0;
-  std::map<std::size_t, std::vector<crypto::BlindCell>> reports_;
-  std::map<std::size_t, std::vector<crypto::BlindCell>> adjustments_;
-  // Snapshot-restored state: the pre-crash submissions exist only as
-  // their blinded sum plus membership sets (per-participant vectors are
-  // not kept — see RoundSnapshot). Live maps hold post-restore traffic;
-  // every query/duplicate/eligibility path consults both.
-  std::vector<crypto::BlindCell> restored_cells_;
-  std::set<std::size_t> restored_reporters_;
-  std::set<std::size_t> restored_adjusters_;
+  /// Adds (report) or subtracts (adjustment) one submission's cells into
+  /// the round's running sum.
+  void fold(std::vector<crypto::BlindCell> cells, bool add);
+
+  // The round as its blinded sum plus membership sets — the same shape as
+  // RoundSnapshot, so a restored round and a live one are one state:
+  // submissions are folded into cells_ on arrival (empty = all-zero) and
+  // no per-participant vector is kept.
+  std::vector<crypto::BlindCell> cells_;
+  std::set<std::size_t> reporters_;
+  std::set<std::size_t> adjusters_;
   std::size_t bytes_received_ = 0;
   std::optional<RoundResult> last_result_;
 };

@@ -50,17 +50,16 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-std::vector<std::uint8_t> encode(FrameKind kind, const CmsParams& params,
-                                 std::uint64_t seed, std::uint64_t round,
-                                 std::span<const std::uint32_t> cells) {
+void append(std::vector<std::uint8_t>& out, FrameKind kind,
+            const CmsParams& params, std::uint64_t seed, std::uint64_t round,
+            std::span<const std::uint32_t> cells) {
   if (cells.size() != params.cells())
     throw std::invalid_argument("encode: cell count does not match geometry");
   // Mirror the decode-side cap: a geometry no peer will accept should fail
   // here, at the party that configured it, not as remote Error replies.
   if (cells.size() > kMaxFrameCells)
     throw std::invalid_argument("encode: cell count above kMaxFrameCells");
-  std::vector<std::uint8_t> out;
-  out.reserve(encoded_size(params));
+  out.reserve(out.size() + encoded_size(params));
   put_u32(out, kMagic);
   put_u16(out, kVersion);
   put_u16(out, static_cast<std::uint16_t>(kind));
@@ -69,7 +68,6 @@ std::vector<std::uint8_t> encode(FrameKind kind, const CmsParams& params,
   put_u64(out, seed);
   put_u64(out, round);
   for (const std::uint32_t c : cells) put_u32(out, c);
-  return out;
 }
 
 }  // namespace
@@ -79,15 +77,25 @@ std::size_t encoded_size(const CmsParams& params) noexcept {
 }
 
 std::vector<std::uint8_t> encode_sketch(const CountMinSketch& cms) {
-  return encode(FrameKind::kPlainSketch, cms.params(), cms.hash_seed(),
-                /*round=*/0, cms.cells());
+  std::vector<std::uint8_t> out;
+  append(out, FrameKind::kPlainSketch, cms.params(), cms.hash_seed(),
+         /*round=*/0, cms.cells());
+  return out;
 }
 
 std::vector<std::uint8_t> encode_blinded_report(
     const CmsParams& params, std::uint64_t round,
     std::span<const std::uint32_t> blinded_cells) {
-  return encode(FrameKind::kBlindedReport, params, /*seed=*/0, round,
-                blinded_cells);
+  std::vector<std::uint8_t> out;
+  append_blinded_report(out, params, round, blinded_cells);
+  return out;
+}
+
+void append_blinded_report(std::vector<std::uint8_t>& out,
+                           const CmsParams& params, std::uint64_t round,
+                           std::span<const std::uint32_t> blinded_cells) {
+  append(out, FrameKind::kBlindedReport, params, /*seed=*/0, round,
+         blinded_cells);
 }
 
 DecodedFrame decode_frame(std::span<const std::uint8_t> bytes) {

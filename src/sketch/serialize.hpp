@@ -56,6 +56,12 @@ struct DecodedFrame {
     const CmsParams& params, std::uint64_t round,
     std::span<const std::uint32_t> blinded_cells);
 
+/// encode_blinded_report appending to `out`: a message that carries the
+/// report inside its own framing writes it in place, with no temporary.
+void append_blinded_report(std::vector<std::uint8_t>& out,
+                           const CmsParams& params, std::uint64_t round,
+                           std::span<const std::uint32_t> blinded_cells);
+
 /// Parse either frame kind. Throws std::invalid_argument on bad magic,
 /// unsupported version, truncation, or geometry/payload mismatch.
 [[nodiscard]] DecodedFrame decode_frame(std::span<const std::uint8_t> bytes);

@@ -29,17 +29,6 @@ void portable_sub(std::uint32_t* dst, const std::uint32_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] -= src[i];
 }
 
-void portable_pad_accumulate(std::uint32_t* acc, const std::uint8_t* stream,
-                             std::size_t n, bool positive) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = (static_cast<std::uint32_t>(stream[4 * i]) << 24) |
-                            (static_cast<std::uint32_t>(stream[4 * i + 1]) << 16) |
-                            (static_cast<std::uint32_t>(stream[4 * i + 2]) << 8) |
-                            static_cast<std::uint32_t>(stream[4 * i + 3]);
-    acc[i] = positive ? acc[i] + v : acc[i] - v;
-  }
-}
-
 void portable_row_min(std::uint32_t* out, const std::uint32_t* row,
                       const std::uint32_t* idx, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -48,8 +37,7 @@ void portable_row_min(std::uint32_t* out, const std::uint32_t* row,
   }
 }
 
-constexpr SketchKernel kPortable{portable_add, portable_sub,
-                                 portable_pad_accumulate, portable_row_min,
+constexpr SketchKernel kPortable{portable_add, portable_sub, portable_row_min,
                                  "portable"};
 
 const SketchKernel* resolve_active() noexcept {

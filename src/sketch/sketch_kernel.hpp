@@ -4,7 +4,7 @@
 //
 // Everything that touches count-min cells in bulk (merge, the id-space
 // min-scan, blinding-pad accumulation, blinded aggregation) bottoms out in
-// one of four primitive loops over 32-bit cells. Each exists twice:
+// one of three primitive loops over 32-bit cells. Each exists twice:
 //
 //  * portable — plain scalar loops compiled for the baseline target.
 //    Always present; also the agreement oracle for the differential tests.
@@ -20,8 +20,8 @@
 //  * cells are wrapping uint32_t; every operation is elementwise, so the
 //    two backends are bit-identical by construction (no reassociation of
 //    anything narrower than a lane).
-//  * pointers may be unaligned; `dst`/`acc`/`out` must not alias `src`/
-//    `stream`/`row`/`idx`.
+//  * pointers may be unaligned; `dst`/`out` must not alias `src`/`row`/
+//    `idx`.
 //  * `idx[i] < row length` is the caller's responsibility (row_min reads
 //    row[idx[i]]); indices must fit in 31 bits (AVX2 gathers are signed).
 #pragma once
@@ -38,11 +38,6 @@ struct SketchKernel {
   /// dst[i] -= src[i] (wrapping), i in [0, n).
   void (*sub_cells)(std::uint32_t* dst, const std::uint32_t* src,
                     std::size_t n);
-  /// Fused pad fold: acc[i] ±= big-endian u32 at stream + 4 i. This is the
-  /// blinding hot loop — one pass replaces the decode-to-vector byte
-  /// shuffle plus the separate signed accumulate.
-  void (*pad_accumulate)(std::uint32_t* acc, const std::uint8_t* stream,
-                         std::size_t n, bool positive);
   /// out[i] = min(out[i], row[idx[i]]) — the gather half of the count-min
   /// min-scan (hashes stay scalar; see CountMinSketch).
   void (*row_min)(std::uint32_t* out, const std::uint32_t* row,

@@ -44,33 +44,6 @@ void avx2_sub(std::uint32_t* dst, const std::uint32_t* src, std::size_t n) {
   for (; i < n; ++i) dst[i] -= src[i];
 }
 
-void avx2_pad_accumulate(std::uint32_t* acc, const std::uint8_t* stream,
-                         std::size_t n, bool positive) {
-  // Byte-reverse each 32-bit lane (the pad stream is big-endian) with one
-  // in-lane shuffle, then fold with a wrapping add or sub.
-  const __m256i bswap = _mm256_setr_epi8(
-      3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12,  // lane 0
-      3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12); // lane 1
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i raw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(stream + 4 * i));
-    const __m256i v = _mm256_shuffle_epi8(raw, bswap);
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i),
-        positive ? _mm256_add_epi32(a, v) : _mm256_sub_epi32(a, v));
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t v = (static_cast<std::uint32_t>(stream[4 * i]) << 24) |
-                            (static_cast<std::uint32_t>(stream[4 * i + 1]) << 16) |
-                            (static_cast<std::uint32_t>(stream[4 * i + 2]) << 8) |
-                            static_cast<std::uint32_t>(stream[4 * i + 3]);
-    acc[i] = positive ? acc[i] + v : acc[i] - v;
-  }
-}
-
 void avx2_row_min(std::uint32_t* out, const std::uint32_t* row,
                   const std::uint32_t* idx, std::size_t n) {
   // Eight scattered cells per gather; min_epu32 keeps the unsigned
@@ -93,8 +66,7 @@ void avx2_row_min(std::uint32_t* out, const std::uint32_t* row,
   }
 }
 
-constexpr SketchKernel kAvx2{avx2_add, avx2_sub, avx2_pad_accumulate,
-                             avx2_row_min, "avx2"};
+constexpr SketchKernel kAvx2{avx2_add, avx2_sub, avx2_row_min, "avx2"};
 
 }  // namespace
 

@@ -79,23 +79,6 @@ TEST_F(SketchKernelDifferential, SubCellsAgreesOnEveryShape) {
   }
 }
 
-TEST_F(SketchKernelDifferential, PadAccumulateAgreesBothSigns) {
-  util::Rng rng(13);
-  for (const std::size_t n : interesting_sizes()) {
-    std::vector<std::uint8_t> stream(n * 4);
-    for (std::uint8_t& b : stream)
-      b = static_cast<std::uint8_t>(rng.next());
-    const std::vector<std::uint32_t> base = random_cells(rng, n);
-    for (const bool positive : {true, false}) {
-      std::vector<std::uint32_t> want = base;
-      std::vector<std::uint32_t> got = base;
-      portable_.pad_accumulate(want.data(), stream.data(), n, positive);
-      avx2_->pad_accumulate(got.data(), stream.data(), n, positive);
-      EXPECT_EQ(want, got) << "n=" << n << " positive=" << positive;
-    }
-  }
-}
-
 TEST_F(SketchKernelDifferential, RowMinAgreesOnEveryShape) {
   util::Rng rng(14);
   for (const std::size_t n : interesting_sizes()) {
@@ -137,18 +120,6 @@ TEST_F(SketchKernelDifferential, UnalignedBasesAgree) {
     portable_.sub_cells(want.data() + off, backing_src.data() + off, kN);
     avx2_->sub_cells(got.data() + off, backing_src.data() + off, kN);
     EXPECT_EQ(want, got) << "offset=" << off;
-  }
-  // Byte streams can land at any offset at all (they come straight out of
-  // SHA-256 output buffers).
-  std::vector<std::uint8_t> stream(kN * 4 + 8);
-  for (std::uint8_t& b : stream)
-    b = static_cast<std::uint8_t>(rng.next());
-  for (std::size_t off = 0; off < 5; ++off) {
-    std::vector<std::uint32_t> want = backing_base;
-    std::vector<std::uint32_t> got = backing_base;
-    portable_.pad_accumulate(want.data(), stream.data() + off, kN, true);
-    avx2_->pad_accumulate(got.data(), stream.data() + off, kN, true);
-    EXPECT_EQ(want, got) << "stream offset=" << off;
   }
 }
 
