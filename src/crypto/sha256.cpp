@@ -159,35 +159,16 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
                         std::span<std::uint8_t> out) noexcept {
   // Hot path: seed || counter || padding fits a single message block, so
   // each output block is one raw compression of the prepared block from
-  // the IV — no Sha256 object, no byte-at-a-time padding. Streams of a
-  // wide-kernel batch or more go through the counter-mode entry a stack
-  // slice at a time; shorter ones (an OPRF hash-to-group is 5 blocks)
-  // run the one-block loop, which a batch's word round trip would slow.
+  // the IV — no Sha256 object, no byte-at-a-time padding. Streams here are
+  // short (an OPRF hash-to-group is 5 blocks), so each block takes the
+  // counter-mode entry's one-block loop.
   if (seed.size() <= kMaxCounterSeed) {
-    CounterBlock blk(seed);
+    const CounterBlock blk(seed);
     const Sha256Kernel& kernel = active_sha256_kernel();
-    if (out.size() >= 32 * kSha256CounterLanes) {
-      constexpr std::size_t kSliceBlocks = 2 * kSha256CounterLanes;
-      std::uint32_t words[8 * kSliceBlocks];
-      for (std::size_t off = 0, block = 0; off < out.size();
-           off += sizeof(words), block += kSliceBlocks) {
-        const std::size_t bytes = std::min(sizeof(words), out.size() - off);
-        kernel.counter_words(blk.bytes, blk.ctr_off, block, words,
-                             (bytes + 3) / 4);
-        for (std::size_t k = 0; k < bytes; ++k)
-          out[off + k] = static_cast<std::uint8_t>(words[k / 4] >>
-                                                   (24 - 8 * (k % 4)));
-      }
-      return;
-    }
     for (std::size_t off = 0, counter = 0; off < out.size();
          off += 32, ++counter) {
-      for (int i = 0; i < 8; ++i)
-        blk.bytes[blk.ctr_off + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(counter >> (56 - 8 * i));
       std::uint32_t st[8];
-      std::memcpy(st, kSha256Iv, sizeof(st));
-      kernel.compress(st, blk.bytes, 1);
+      sha256_counter_words(kernel, blk.bytes, blk.ctr_off, counter, st, 8);
       std::uint8_t digest[32];
       for (int i = 0; i < 8; ++i) {
         digest[4 * i] = static_cast<std::uint8_t>(st[i] >> 24);
@@ -216,8 +197,8 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
 void sha256_expand_words(const Digest& seed, std::uint64_t first_block,
                          std::span<std::uint32_t> out) noexcept {
   const CounterBlock blk(seed);
-  active_sha256_kernel().counter_words(blk.bytes, blk.ctr_off, first_block,
-                                       out.data(), out.size());
+  sha256_counter_words(active_sha256_kernel(), blk.bytes, blk.ctr_off,
+                       first_block, out.data(), out.size());
 }
 
 }  // namespace eyw::crypto

@@ -80,48 +80,10 @@ void portable_compress(std::uint32_t state[8], const std::uint8_t* blocks,
   }
 }
 
-using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*,
-                           std::size_t);
-
-// The counter-mode oracle: one single-block compression per counter, the
-// state words copied out as they are.
-void counter_words_via(CompressFn compress, const std::uint8_t block[64],
-                       std::size_t ctr_off, std::uint64_t first,
-                       std::uint32_t* out, std::size_t words) {
-  std::uint8_t blk[64];
-  std::memcpy(blk, block, sizeof(blk));
-  for (std::uint64_t ctr = first; words > 0; ++ctr) {
-    for (int i = 0; i < 8; ++i)
-      blk[ctr_off + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(ctr >> (56 - 8 * i));
-    std::uint32_t st[8];
-    std::memcpy(st, kSha256Iv, sizeof(st));
-    compress(st, blk, 1);
-    const std::size_t take = std::min<std::size_t>(8, words);
-    std::memcpy(out, st, take * sizeof(std::uint32_t));
-    out += take;
-    words -= take;
-  }
-}
-
-void portable_counter_words(const std::uint8_t block[64], std::size_t ctr_off,
-                            std::uint64_t first, std::uint32_t* out,
-                            std::size_t words) {
-  counter_words_via(portable_compress, block, ctr_off, first, out, words);
-}
-
-constexpr Sha256Kernel kPortable{portable_compress, portable_counter_words,
-                                 "portable"};
+constexpr Sha256Kernel kPortable{portable_compress, nullptr, "portable"};
 
 #if defined(EYW_HAVE_SHANI_KERNEL)
-void shani_counter_words(const std::uint8_t block[64], std::size_t ctr_off,
-                         std::uint64_t first, std::uint32_t* out,
-                         std::size_t words) {
-  counter_words_via(detail::shani_compress, block, ctr_off, first, out, words);
-}
-
-constexpr Sha256Kernel kShani{detail::shani_compress, shani_counter_words,
-                              "shani"};
+constexpr Sha256Kernel kShani{detail::shani_compress, nullptr, "shani"};
 #endif
 
 #if defined(EYW_HAVE_AVX512_SHA256)
@@ -141,25 +103,6 @@ bool cpu_supports_avx512() noexcept {
   __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
   constexpr unsigned int kZmmState = 0xE6;
   return (xcr0_lo & kZmmState) == kZmmState;
-}
-
-/// The best one-block compression beside the wide kernel.
-CompressFn narrow_compress() noexcept {
-  static const CompressFn compress = shani_sha256_kernel() != nullptr
-                                         ? shani_sha256_kernel()->compress
-                                         : portable_compress;
-  return compress;
-}
-
-void avx512_counter_words(const std::uint8_t block[64], std::size_t ctr_off,
-                          std::uint64_t first, std::uint32_t* out,
-                          std::size_t words) {
-  // Below one batch the wide kernel would hash idle lanes.
-  if (words < 8 * kSha256CounterLanes) {
-    counter_words_via(narrow_compress(), block, ctr_off, first, out, words);
-    return;
-  }
-  detail::avx512_counter_words(block, ctr_off, first, out, words);
 }
 #endif
 
@@ -205,13 +148,43 @@ const Sha256Kernel* shani_sha256_kernel() noexcept {
 
 const Sha256Kernel* avx512_sha256_kernel() noexcept {
 #if defined(EYW_HAVE_AVX512_SHA256)
-  static const Sha256Kernel kernel{narrow_compress(), avx512_counter_words,
-                                   "avx512"};
+  // Single blocks go to the best one-block compression beside it.
+  static const Sha256Kernel kernel{
+      shani_sha256_kernel() != nullptr ? shani_sha256_kernel()->compress
+                                       : portable_compress,
+      detail::avx512_counter_words, "avx512"};
   static const bool usable = cpu_supports_avx512();
   return usable ? &kernel : nullptr;
 #else
   return nullptr;
 #endif
+}
+
+void sha256_counter_words(const Sha256Kernel& kernel,
+                          const std::uint8_t block[64], std::size_t ctr_off,
+                          std::uint64_t first, std::uint32_t* out,
+                          std::size_t words) noexcept {
+  // Below one batch the wide kernel would hash idle lanes.
+  if (kernel.counter_words != nullptr && words >= 8 * kSha256CounterLanes) {
+    kernel.counter_words(block, ctr_off, first, out, words);
+    return;
+  }
+  // One single-block compression per counter, the state words copied out
+  // as they are.
+  std::uint8_t blk[64];
+  std::memcpy(blk, block, sizeof(blk));
+  for (std::uint64_t ctr = first; words > 0; ++ctr) {
+    for (int i = 0; i < 8; ++i)
+      blk[ctr_off + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(ctr >> (56 - 8 * i));
+    std::uint32_t st[8];
+    std::memcpy(st, kSha256Iv, sizeof(st));
+    kernel.compress(st, blk, 1);
+    const std::size_t take = std::min<std::size_t>(8, words);
+    std::memcpy(out, st, take * sizeof(std::uint32_t));
+    out += take;
+    words -= take;
+  }
 }
 
 const Sha256Kernel& active_sha256_kernel() noexcept {

@@ -17,14 +17,16 @@
 //     `blocks` points at `count` contiguous 64-byte message blocks.
 //   * `compress` folds every block into `state` in order (the standard
 //     Merkle–Damgård chaining). No alignment requirement on `blocks`.
-//   * `counter_words` is counter-mode expansion of one prepared message
-//     block (seed, an 8-byte big-endian counter at `ctr_off`, FIPS
-//     padding; see sha256_expand_into). For k in [0, words) it writes
-//     out[k] = state word k mod 8 of the compression, from the IV, of
-//     that block with counter first + k / 8. These are the expansion
-//     stream's big-endian words in native order. The counter bytes
-//     already in `block` are ignored; `ctr_off` <= 47; no alignment
-//     requirement on `out`.
+//   * `counter_words` is a wide counter-mode expansion, set only by a
+//     backend that has one (AVX-512; nullptr otherwise). It takes one
+//     prepared message block (seed, an 8-byte big-endian counter at
+//     `ctr_off`, FIPS padding; see sha256_expand_into) and, for k in
+//     [0, words), writes out[k] = state word k mod 8 of the compression,
+//     from the IV, of that block with counter first + k / 8. These are
+//     the expansion stream's big-endian words in native order. The
+//     counter bytes already in `block` are ignored; `ctr_off` <= 47; no
+//     alignment requirement on `out`. Callers go through
+//     sha256_counter_words, which runs the one-block loop otherwise.
 //   * `EYW_SHA256_KERNEL=portable|shani|avx512|auto` overrides selection
 //     (read once); requesting an unavailable backend degrades to
 //     portable.
@@ -66,12 +68,21 @@ struct Sha256Kernel {
 /// expansions gain nothing from the wide kernel and stay on `compress`.
 inline constexpr std::size_t kSha256CounterLanes = 16;
 
-/// The scalar FIPS 180-4 compression, with `counter_words` a loop over
-/// it; always available, the differential oracle for every other backend.
+/// Counter-mode words (the `counter_words` contract) through `kernel`:
+/// its wide `counter_words` for a batch or more, else one `compress` of
+/// the prepared block per counter. Over the portable kernel this is the
+/// differential oracle for the wide one.
+void sha256_counter_words(const Sha256Kernel& kernel,
+                          const std::uint8_t block[64], std::size_t ctr_off,
+                          std::uint64_t first, std::uint32_t* out,
+                          std::size_t words) noexcept;
+
+/// The scalar FIPS 180-4 compression; always available, the differential
+/// oracle for every other backend.
 [[nodiscard]] const Sha256Kernel& portable_sha256_kernel() noexcept;
 
-/// The SHA-NI kernel (`counter_words` a loop over its compression), or
-/// nullptr when not compiled in or the CPU lacks the SHA extensions.
+/// The SHA-NI kernel, or nullptr when not compiled in or the CPU lacks
+/// the SHA extensions.
 [[nodiscard]] const Sha256Kernel* shani_sha256_kernel() noexcept;
 
 /// The 16-lane AVX-512 counter-mode kernel (its `compress` is SHA-NI's

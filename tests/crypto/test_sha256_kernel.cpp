@@ -121,8 +121,8 @@ TEST_F(Sha256CounterDifferential, AgreesAcrossCountersAndLengths) {
       for (std::size_t blocks = 1; blocks <= 40; ++blocks) {
         for (const std::size_t words : {8 * blocks, 8 * blocks - 3}) {
           std::vector<std::uint32_t> want(words), got(words);
-          portable_.counter_words(block.data(), seed_len, first, want.data(),
-                                  words);
+          sha256_counter_words(portable_, block.data(), seed_len, first,
+                               want.data(), words);
           avx512_->counter_words(block.data(), seed_len, first, got.data(),
                                  words);
           EXPECT_EQ(want, got) << "seed " << seed_len << " first " << first
@@ -138,7 +138,7 @@ TEST_F(Sha256CounterDifferential, UnalignedOutputPointersAgree) {
   const auto block = block_for(32, rng);
   constexpr std::size_t kWords = 8 * 37;
   std::vector<std::uint32_t> want(kWords);
-  portable_.counter_words(block.data(), 32, 7, want.data(), kWords);
+  sha256_counter_words(portable_, block.data(), 32, 7, want.data(), kWords);
   std::vector<std::uint32_t> backing(kWords + 16);
   for (std::size_t off = 0; off < 16; ++off) {
     std::fill(backing.begin(), backing.end(), 0xdeadbeefu);
